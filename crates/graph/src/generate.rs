@@ -107,62 +107,92 @@ impl GraphSpec {
         h
     }
 
-    /// Generates the graph.
+    /// Generates the graph, on one thread per available core. The result
+    /// does not depend on the thread count.
     pub fn build(&self) -> Csr {
-        let n = self.vertices();
-        let m = n * self.avg_degree as usize;
+        self.build_with_threads(builder::pool_size())
+    }
+
+    /// [`GraphSpec::build`] on `threads` threads.
+    pub(crate) fn build_with_threads(&self, threads: usize) -> Csr {
         let mut rng = SplitMix64::seed_from_u64(self.seed);
         // Deterministic vertex permutation scatters R-MAT's low-id hubs.
-        let perm = permutation(n, &mut rng);
-        let mut edges: Vec<(u32, u32, u32)> = Vec::with_capacity(m);
-        for _ in 0..m {
-            let (mut s, mut d) = match self.kind {
-                GraphKind::RmatSocial => rmat_edge(self.scale, RMAT_SOCIAL, &mut rng),
-                GraphKind::Uniform => (
-                    rng.gen_range_u32(0, n as u32),
-                    rng.gen_range_u32(0, n as u32),
-                ),
-            };
-            s = perm[s as usize];
-            d = perm[d as usize];
-            let w = rng.gen_range_u32(1, 64);
-            edges.push((s, d, w));
+        let perm = permutation(self.vertices(), &mut rng);
+        let edges = self.edge_list(&perm, &rng, threads);
+        let rows = builder::SortedRows::sort(self.vertices(), &edges, self.weighted, threads);
+        // Free the raw list before the CSR arrays are allocated.
+        drop(edges);
+        rows.into_csr()
+    }
+
+    /// Random draws one edge takes: one per R-MAT level or one per
+    /// uniform endpoint, then one for the weight.
+    fn draws_per_edge(&self) -> u64 {
+        match self.kind {
+            GraphKind::RmatSocial => u64::from(self.scale) + 1,
+            GraphKind::Uniform => 3,
         }
-        if self.weighted {
-            builder::from_weighted_edges(n, &edges)
-        } else {
-            let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
-            builder::from_edges(n, &pairs)
+    }
+
+    /// Draws the `(src, dst, weight)` edge list, before de-duplication,
+    /// from `rng` as the vertex permutation `perm` left it.
+    ///
+    /// One SplitMix64 stream seeded with `seed` feeds everything. The
+    /// vertex permutation takes its first n − 1 draws; edge e then takes
+    /// the next [`draws_per_edge`](Self::draws_per_edge) draws from
+    /// `n − 1 + e·draws_per_edge`. So each thread fills a contiguous chunk
+    /// of edges from a generator advanced to its first edge, and the list
+    /// is the same for any thread count.
+    fn edge_list(&self, perm: &[u32], rng: &SplitMix64, threads: usize) -> Vec<(u32, u32, u32)> {
+        let m = perm.len() * self.avg_degree as usize;
+        let mut edges = vec![(0, 0, 0); m];
+        let chunk = m.div_ceil(threads.max(1)).max(1);
+        std::thread::scope(|scope| {
+            for (c, out) in edges.chunks_mut(chunk).enumerate() {
+                let mut rng = rng.clone();
+                rng.advance((c * chunk) as u64 * self.draws_per_edge());
+                scope.spawn(move || self.draw_edges(perm, &mut rng, out));
+            }
+        });
+        edges
+    }
+
+    /// Fills `out` with consecutive edges drawn from `rng`.
+    fn draw_edges(&self, perm: &[u32], rng: &mut SplitMix64, out: &mut [(u32, u32, u32)]) {
+        let n = perm.len() as u32;
+        for e in out {
+            let (s, d) = match self.kind {
+                GraphKind::RmatSocial => rmat_edge(self.scale, RMAT_SOCIAL, rng),
+                GraphKind::Uniform => (rng.gen_range_u32(0, n), rng.gen_range_u32(0, n)),
+            };
+            *e = (perm[s as usize], perm[d as usize], rng.gen_range_u32(1, 64));
         }
     }
 }
 
+/// One R-MAT edge: at each of `scale` levels, one draw `r` picks a
+/// quadrant — top-left if `r < a`, top-right (target bit set) if
+/// `r < a + b`, bottom-left (source bit set) if `r < a + b + c`, else
+/// bottom-right (both bits). The bits come from the comparisons
+/// directly, without branches.
 fn rmat_edge(scale: u32, (a, b, c, _d): (f64, f64, f64, f64), rng: &mut SplitMix64) -> (u32, u32) {
+    let ab = a + b;
+    let abc = ab + c;
     let mut s = 0u32;
     let mut t = 0u32;
     for _ in 0..scale {
-        s <<= 1;
-        t <<= 1;
-        // Add a little per-level noise so the quadrant structure is not
-        // perfectly self-similar (standard R-MAT practice).
-        let r: f64 = rng.gen_f64();
-        if r < a {
-            // top-left: neither bit set
-        } else if r < a + b {
-            t |= 1;
-        } else if r < a + b + c {
-            s |= 1;
-        } else {
-            s |= 1;
-            t |= 1;
-        }
+        let r = rng.gen_f64();
+        let s_bit = u32::from(r >= ab);
+        let t_bit = u32::from(r >= a) ^ s_bit ^ u32::from(r >= abc);
+        s = (s << 1) | s_bit;
+        t = (t << 1) | t_bit;
     }
     (s, t)
 }
 
 fn permutation(n: usize, rng: &mut SplitMix64) -> Vec<u32> {
     let mut perm: Vec<u32> = (0..n as u32).collect();
-    // Fisher–Yates.
+    // Fisher–Yates: n − 1 draws.
     for i in (1..n).rev() {
         let j = rng.gen_range_inclusive_usize(0, i);
         perm.swap(i, j);
@@ -223,6 +253,74 @@ mod tests {
             g.edge_count()
         );
         assert!(g.edge_count() <= target);
+    }
+
+    /// FNV-1a over the little-endian bytes of `offsets ‖ edges`.
+    fn digest(g: &Csr) -> u64 {
+        let n = g.vertices() as u32;
+        let offsets = (0..=n).map(|v| g.edge_start(v));
+        let edges = (0..n).flat_map(|v| g.neighbours(v).iter().copied());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in offsets.chain(edges) {
+            for byte in x.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    // The pinned digests and edge counts were taken from the index-sort
+    // builder this counting sort replaced; the arrays must not move.
+    #[test]
+    fn pinned_graphs_keep_their_digests() {
+        let scale16 = GraphSpec {
+            scale: 16,
+            avg_degree: 12,
+            ..GraphSpec::ldbc_like()
+        };
+        let uniform = GraphSpec {
+            kind: GraphKind::Uniform,
+            ..GraphSpec::tiny()
+        };
+        for (spec, edges, want) in [
+            (GraphSpec::tiny(), 7_900, 0xf682_f36d_5be9_3506),
+            (GraphSpec::test_medium(), 130_342, 0x47f7_47c2_5866_3122),
+            (scale16, 783_990, 0x71bb_74f7_efa9_fa74),
+            (uniform, 8_161, 0xab34_f780_4402_e591),
+        ] {
+            let g = spec.build();
+            assert_eq!(g.edge_count(), edges, "{spec:?}");
+            assert_eq!(digest(&g), want, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn graph_does_not_depend_on_thread_count() {
+        for spec in [
+            GraphSpec::test_medium(),
+            GraphSpec {
+                kind: GraphKind::Uniform,
+                ..GraphSpec::tiny()
+            },
+        ] {
+            let one = spec.build_with_threads(1);
+            for threads in [2, 7] {
+                let g = spec.build_with_threads(threads);
+                assert_eq!(digest(&g), digest(&one), "{threads} threads");
+                for v in 0..g.vertices() as u32 {
+                    assert_eq!(g.weights_of(v), one.weights_of(v));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "paper-scale build: run with `cargo test --release -p coolpim-graph -- --ignored`"]
+    fn paper_scale_graph_is_pinned() {
+        let g = GraphSpec::ldbc_like().build();
+        assert_eq!(g.edge_count(), 16_766_820);
+        assert_eq!(digest(&g), 0x5009_5a7e_1088_07d1);
     }
 
     #[test]

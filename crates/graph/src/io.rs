@@ -73,12 +73,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<Csr, IoError> {
     } else {
         max_v as usize + 1
     };
-    Ok(if any_weight {
-        builder::from_weighted_edges(n, &edges)
-    } else {
-        let pairs: Vec<(u32, u32)> = edges.iter().map(|&(s, d, _)| (s, d)).collect();
-        builder::from_edges(n, &pairs)
-    })
+    Ok(builder::build(n, &edges, any_weight, builder::pool_size()))
 }
 
 /// Reads an edge-list file.

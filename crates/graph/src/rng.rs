@@ -7,7 +7,15 @@
 //! chain per draw, equidistributed over `u64`, and the same sequence on
 //! every platform for a given seed.
 
+/// The Weyl-sequence increment: draw k mixes `seed + k·GAMMA`.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// SplitMix64 pseudo-random number generator.
+///
+/// The generator is counter-based: the k-th draw (k ≥ 1) is a pure
+/// function of `seed + k·GAMMA`, so [`SplitMix64::advance`] can skip
+/// ahead in O(1) and independent workers can each start from their own
+/// offset into one stream.
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
     state: u64,
@@ -22,11 +30,18 @@ impl SplitMix64 {
     /// Next raw 64-bit value.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Skips `k` draws: afterwards the generator is where `k` calls to
+    /// [`SplitMix64::next_u64`] would have left it.
+    #[inline]
+    pub fn advance(&mut self, k: u64) {
+        self.state = self.state.wrapping_add(k.wrapping_mul(GAMMA));
     }
 
     /// Uniform draw in `[0, bound)`. Uses the widening-multiply trick
@@ -76,6 +91,23 @@ mod tests {
         let mut a = SplitMix64::seed_from_u64(1);
         let mut b = SplitMix64::seed_from_u64(2);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn advance_equals_repeated_draws() {
+        // u64::MAX - 5 wraps on the first draw.
+        for seed in [0, 42, u64::MAX - 5] {
+            for k in [0u64, 1, 2, 7, 1000] {
+                let mut stepped = SplitMix64::seed_from_u64(seed);
+                for _ in 0..k {
+                    stepped.next_u64();
+                }
+                let mut skipped = SplitMix64::seed_from_u64(seed);
+                skipped.advance(k);
+                assert_eq!(skipped.state, stepped.state, "seed {seed} k {k}");
+                assert_eq!(skipped.next_u64(), stepped.next_u64());
+            }
+        }
     }
 
     #[test]
