@@ -50,7 +50,7 @@ use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
 use coolpim_hmc::{Hmc, Request};
 use coolpim_telemetry::monitor::EpochObservation;
-use coolpim_telemetry::{MetricsRegistry, MonitorHub, Telemetry};
+use coolpim_telemetry::{MetricsRegistry, MonitorHub};
 use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::floorplan::Floorplan;
 use coolpim_thermal::grid::ThermalGrid;
@@ -347,7 +347,6 @@ fn run_suite(graph_seed: u64) -> RunRecord {
     hub.begin_run("bench6-monitored", "0");
     let mut k = make_kernel(Workload::Dc, &graph);
     let res = CoSim::new(Policy::CoolPimSw, cfg.clone())
-        .with_telemetry(Telemetry::disabled().profiled())
         .with_monitor(hub.clone())
         .run(k.as_mut());
     println!(

@@ -14,8 +14,9 @@
 //! `--timeline` dumps the per-epoch telemetry as CSV to stdout,
 //! `--timeline-out FILE` writes the same CSV to a file, `--trace FILE`
 //! streams the full event log (warnings, phase moves, pool resizes,
-//! kernel lifecycle, epoch samples) as JSONL, and `--profile` prints a
-//! wall-clock self-time breakdown of the co-sim hot phases.
+//! kernel lifecycle, epoch samples) as JSONL, and `--profile` attaches
+//! a trace timeline and prints its self/total-time span tree plus the
+//! metrics block.
 //!
 //! `--warning-threshold` overrides the ERRSTAT trigger temperature
 //! (small-scale CI runs lower it so the feedback loop engages).
@@ -594,18 +595,14 @@ fn main() {
             }
         }
     }
-    let mut telemetry = match sinks.len() {
+    let sink_on = !sinks.is_empty();
+    let telemetry = match sinks.len() {
         0 => Telemetry::disabled(),
         1 => Telemetry::with_sink(sinks.pop().expect("one sink")),
         _ => Telemetry::with_sink(Box::new(MultiSink::new(sinks))),
     };
     let flight_on = args.flight_recorder || args.postmortem_dir.is_some();
     let monitor_on = args.monitor.is_some();
-    // The flight recorder's and live monitor's self-overhead metric
-    // needs span timings, so enabling either implies profiling.
-    if args.profile || flight_on || monitor_on {
-        telemetry = telemetry.profiled();
-    }
 
     let threshold_c = cfg.warning_threshold_c;
 
@@ -635,10 +632,10 @@ fn main() {
     let record_name = format!("{}-{}", workload_name, args.policy.name());
 
     let mut cosim = CoSim::new(args.policy, cfg).with_telemetry(telemetry);
-    let tracer = args
-        .trace_timeline
-        .as_ref()
-        .map(|_| coolpim_telemetry::Tracer::new());
+    // `--profile` reads its span tree from the same tracer a timeline
+    // export would write.
+    let tracer =
+        (args.profile || args.trace_timeline.is_some()).then(coolpim_telemetry::Tracer::new);
     if let Some(t) = &tracer {
         cosim = cosim.with_tracer(t);
     }
@@ -776,8 +773,8 @@ fn main() {
     // profile section: one flat `tprof.<path>.{total_s,self_s,calls}`
     // triple per tree path, which is what `profile_diff` bands against
     // committed baselines.
-    if let Some(tracer) = &tracer {
-        let tp = tracer.profile();
+    let tprof = tracer.as_ref().map(|t| t.profile());
+    if let Some(tp) = &tprof {
         record.push("tprof.schema", 1.0);
         record.push("tprof.span_s", tp.span_s);
         for (path, total_s, self_s, calls) in tp.flatten() {
@@ -821,7 +818,7 @@ fn main() {
     println!("offload fraction   {:.3}", r.gpu.offload_fraction());
     println!("kernel launches    {}", r.gpu.launches);
     println!("throttle steps     {}", r.throttle_steps);
-    if flight_on || monitor_on {
+    if sink_on || flight_on || monitor_on || tracer.is_some() {
         println!("telemetry overhead {:.2} %", r.telemetry_overhead_pct);
     }
     if flight_on {
@@ -831,9 +828,8 @@ fn main() {
         println!("!! thermal shutdown occurred");
     }
     if args.profile {
-        print!("{}", r.profile.render());
-        if let Some(tracer) = &tracer {
-            print!("{}", tracer.profile().render());
+        if let Some(tp) = &tprof {
+            print!("{}", tp.render());
         }
         print!("{}", r.metrics.render());
     }

@@ -1,9 +1,7 @@
 //! Shared evaluation driver for the `fig10`–`fig14` binaries.
 
 use coolpim_core::cosim::CoSimConfig;
-use coolpim_core::experiment::{
-    run_matrix, run_matrix_monitored, run_matrix_profiled, WorkloadResults,
-};
+use coolpim_core::experiment::{run_matrix, run_matrix_monitored, WorkloadResults};
 use coolpim_core::policy::Policy;
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
@@ -40,15 +38,6 @@ pub fn graph_spec_for(scale: Option<&str>) -> GraphSpec {
     spec
 }
 
-/// Whether per-run wall-clock profiling was requested via the
-/// `COOLPIM_PROFILE` environment variable (`1`/`true`).
-pub fn profiling_requested() -> bool {
-    matches!(
-        std::env::var("COOLPIM_PROFILE").ok().as_deref(),
-        Some("1") | Some("true")
-    )
-}
-
 /// The live-monitor bind address requested via the `COOLPIM_MONITOR`
 /// environment variable (e.g. `127.0.0.1:9090`), if any. When set, the
 /// evaluation binaries serve `/metrics`, `/status`, and `/series` for
@@ -59,16 +48,39 @@ pub fn monitor_addr_requested() -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-/// Profiled/unprofiled dispatch shared by the full matrix and the subset
-/// path, so `COOLPIM_PROFILE` means the same thing in every figure binary.
-/// With `COOLPIM_MONITOR` set, the matrix runs with a live monitor
-/// endpoint bound for its duration (implies profiling, so the runs carry
+/// Runs the full evaluation matrix (all ten workloads × the five system
+/// configurations) at the configured scale.
+pub fn run_eval_matrix() -> Vec<WorkloadResults> {
+    let spec = eval_graph_spec();
+    eprintln!(
+        "# generating LDBC-like graph: 2^{} vertices, avg degree {} (seed {})",
+        spec.scale, spec.avg_degree, spec.seed
+    );
+    let graph = spec.build();
+    eprintln!(
+        "# graph ready: {} vertices, {} edges; running {} co-simulations...",
+        graph.vertices(),
+        graph.edge_count(),
+        Workload::ALL.len() * Policy::ALL.len()
+    );
+    run_eval_subset_on(&graph, &Workload::ALL, &Policy::ALL)
+}
+
+/// Runs a subset of the matrix (used by the quicker figure binaries).
+/// Honours `COOLPIM_MONITOR` exactly like [`run_eval_matrix`].
+pub fn run_eval_subset(workloads: &[Workload], policies: &[Policy]) -> Vec<WorkloadResults> {
+    let graph = eval_graph_spec().build();
+    run_eval_subset_on(&graph, workloads, policies)
+}
+
+/// [`run_eval_subset`] with the graph injected; the full matrix runs
+/// through here too. With `COOLPIM_MONITOR` set, the matrix runs with a
+/// live monitor endpoint bound for its duration (so the runs carry
 /// `telemetry_overhead_pct`).
-fn run_matrix_dispatch(
+pub fn run_eval_subset_on(
     graph: &Csr,
     workloads: &[Workload],
     policies: &[Policy],
-    profile: bool,
 ) -> Vec<WorkloadResults> {
     if let Some(addr) = monitor_addr_requested() {
         let hub = MonitorHub::new();
@@ -88,48 +100,7 @@ fn run_matrix_dispatch(
         eprintln!("# monitor stopped");
         return results;
     }
-    if profile {
-        run_matrix_profiled(graph, workloads, policies, CoSimConfig::default())
-    } else {
-        run_matrix(graph, workloads, policies, CoSimConfig::default())
-    }
-}
-
-/// Runs the full evaluation matrix (all ten workloads × the five system
-/// configurations) at the configured scale. Set `COOLPIM_PROFILE=1` to
-/// profile every run's hot phases.
-pub fn run_eval_matrix() -> Vec<WorkloadResults> {
-    let spec = eval_graph_spec();
-    eprintln!(
-        "# generating LDBC-like graph: 2^{} vertices, avg degree {} (seed {})",
-        spec.scale, spec.avg_degree, spec.seed
-    );
-    let graph = spec.build();
-    eprintln!(
-        "# graph ready: {} vertices, {} edges; running {} co-simulations...",
-        graph.vertices(),
-        graph.edge_count(),
-        Workload::ALL.len() * Policy::ALL.len()
-    );
-    run_matrix_dispatch(&graph, &Workload::ALL, &Policy::ALL, profiling_requested())
-}
-
-/// Runs a subset of the matrix (used by the quicker figure binaries).
-/// Honours `COOLPIM_PROFILE` exactly like [`run_eval_matrix`].
-pub fn run_eval_subset(workloads: &[Workload], policies: &[Policy]) -> Vec<WorkloadResults> {
-    let graph = eval_graph_spec().build();
-    run_eval_subset_on(&graph, workloads, policies, profiling_requested())
-}
-
-/// [`run_eval_subset`] with the graph and the profiling decision injected
-/// (tests pass `profile` directly instead of racing on the environment).
-pub fn run_eval_subset_on(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    profile: bool,
-) -> Vec<WorkloadResults> {
-    run_matrix_dispatch(graph, workloads, policies, profile)
+    run_matrix(graph, workloads, policies, CoSimConfig::default())
 }
 
 #[cfg(test)]
@@ -159,20 +130,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_scale_panics() {
         let _ = graph_spec_for(Some("30"));
-    }
-
-    #[test]
-    fn subset_path_honours_the_profiling_flag() {
-        let graph = GraphSpec::tiny().build();
-        let workloads = [Workload::Dc];
-        let policies = [Policy::NonOffloading];
-        let profiled = run_eval_subset_on(&graph, &workloads, &policies, true);
-        let r = &profiled[0].runs[0];
-        assert!(
-            r.profile.enabled && r.profile.span_s("gpu_advance") > 0.0,
-            "profiled subset run must populate hot-phase spans"
-        );
-        let plain = run_eval_subset_on(&graph, &workloads, &policies, false);
-        assert!(!plain[0].runs[0].profile.enabled);
     }
 }

@@ -24,7 +24,7 @@ pub mod obs;
 pub mod replicate;
 pub mod runrec;
 
-pub use eval::{eval_graph_spec, monitor_addr_requested, profiling_requested, run_eval_matrix};
+pub use eval::{eval_graph_spec, monitor_addr_requested, run_eval_matrix};
 pub use harness::{Runner, Stats};
 pub use replicate::{fold_replicates, Distribution};
 pub use runrec::{compare, Gate, RunRecord, DEFAULT_GATES, RUN_RECORD_SCHEMA_VERSION};

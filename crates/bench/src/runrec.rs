@@ -1,8 +1,9 @@
 //! Versioned per-run records and the cross-run regression gate.
 //!
 //! Every driver (`sim`, `eval_all`, the wall-clock harness) can append a
-//! snapshot of one run — config hash, headline metrics, telemetry
-//! counters/gauges/histogram summaries, and the wall-clock profile — to
+//! snapshot of one run — config hash, headline metrics, and telemetry
+//! counters/gauges/histogram summaries (plus, from traced `sim` runs,
+//! the `tprof.*` span tree) — to
 //! `results/runs/*.json` as one flat JSON object. `bench_compare` diffs
 //! such a record against a named baseline with per-metric tolerance
 //! bands and exits non-zero on regression, which is what CI gates on.
@@ -109,8 +110,7 @@ impl RunRecord {
     }
 
     /// Builds a record from a finished co-simulation: headline results,
-    /// every telemetry counter/gauge, histogram summaries, and the
-    /// wall-clock profile (when enabled).
+    /// every telemetry counter/gauge, and histogram summaries.
     pub fn from_cosim(name: &str, config: &str, r: &CoSimResult) -> Self {
         let mut rec = Self::new(name, config);
         rec.push("exec_s", r.exec_s);
@@ -143,12 +143,6 @@ impl RunRecord {
             rec.push(&format!("hist.{n}.p90"), h.p90 as f64);
             rec.push(&format!("hist.{n}.p99"), h.p99 as f64);
             rec.push(&format!("hist.{n}.max"), h.max as f64);
-        }
-        if r.profile.enabled {
-            rec.push("profile.wall_s", r.profile.wall_s);
-            for e in &r.profile.entries {
-                rec.push(&format!("profile.{}_s", e.name), e.total_s);
-            }
         }
         rec
     }

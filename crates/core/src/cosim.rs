@@ -10,6 +10,7 @@
 //! source throttling consumes.
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use coolpim_gpu::source::InstructionSource;
 use coolpim_gpu::stats::GpuStats;
@@ -19,7 +20,7 @@ use coolpim_hmc::{ns_to_ps, Hmc, Ps, TempPhase};
 use coolpim_telemetry::flight::{FlightRecorder, PostmortemBundle};
 use coolpim_telemetry::monitor::EpochObservation;
 use coolpim_telemetry::{
-    MetricsSnapshot, MonitorHub, ProfileReport, Telemetry, TelemetryEvent, TraceTrack, Tracer,
+    MetricsSnapshot, MonitorHub, Telemetry, TelemetryEvent, TraceTrack, Tracer,
 };
 use coolpim_thermal::cooling::Cooling;
 use coolpim_thermal::model::HmcThermalModel;
@@ -160,14 +161,13 @@ pub struct CoSimResult {
     /// End-of-run metrics: epoch/warning counters, pool/cap/temperature
     /// gauges, and the cube's service-time and queue-wait histograms.
     pub metrics: MetricsSnapshot,
-    /// Wall-clock self-time breakdown of the co-sim hot phases (empty
-    /// unless profiling was enabled via [`CoSim::with_telemetry`]).
-    pub profile: ProfileReport,
     /// Source-throttling control actions applied: SW-DynT token-pool
     /// shrinks plus HW-DynT PCU warp-cap updates.
     pub throttle_steps: u64,
-    /// Telemetry self-overhead (flight sampling + dumps + sink emits) as
-    /// a percentage of profiled wall time. 0 when profiling is off.
+    /// Observer self-overhead (flight sampling and dumps, monitor
+    /// samples, sink emits and flush, tracer recording) as a percentage
+    /// of the run's wall time. Exactly 0 when no sink, flight recorder,
+    /// monitor or tracer is attached.
     pub telemetry_overhead_pct: f64,
     /// Post-mortem bundles written by the flight recorder, in dump
     /// order.
@@ -280,7 +280,7 @@ impl<S: ThermalSolve> CoSim<S> {
         self
     }
 
-    /// Attaches a telemetry bundle (event sink and/or profiler). The
+    /// Attaches a telemetry bundle (event sink and/or trace track). The
     /// default is [`Telemetry::disabled`], which costs one branch per
     /// epoch.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -301,7 +301,7 @@ impl<S: ThermalSolve> CoSim<S> {
     /// so a [`coolpim_telemetry::MonitorServer`] (or any other observer
     /// holding the hub) can watch the run live. The per-epoch cost is
     /// one mutex lock plus ring pushes and a registry `clone_from`; it
-    /// is profiled under the `monitor_sample` span and counted into
+    /// is traced under the `monitor_sample` span and counted into
     /// `telemetry_overhead_pct`.
     pub fn with_monitor(mut self, hub: MonitorHub) -> Self {
         self.monitor = Some(hub);
@@ -381,7 +381,13 @@ impl<S: ThermalSolve> CoSim<S> {
         let mut epoch_idx = 0u64;
         // Live-monitor / heartbeat state: wall-clock pacing plus scratch
         // for the per-vault temperature reduction (no per-epoch alloc).
-        let run_started = std::time::Instant::now();
+        let run_started = Instant::now();
+        // Wall time spent inside observer-only blocks (flight recorder,
+        // monitor, sink emits); with no observer attached it stays 0 and
+        // the loop reads no extra clock. The timers sit inside the trace
+        // spans so the tracer's own cost (`tracer_self_s`) is not
+        // counted twice.
+        let mut observer_s = 0.0f64;
         let mut mon_temps: Vec<f64> = Vec::new();
         let mut prev_sweeps = self.thermal.solver_stats().sweeps;
         // First beat fires on the first epoch (immediate sign of life),
@@ -391,24 +397,20 @@ impl<S: ThermalSolve> CoSim<S> {
             horizon += self.cfg.epoch;
             epoch_idx += 1;
             let epoch_tok = self.telemetry.trace_begin("epoch");
-            let span = self.telemetry.profiler.start();
             let ttok = self.telemetry.trace_begin("gpu_advance");
             let outcome = self.sys.run_until(kernel, ctrl, horizon);
             self.telemetry.trace_end(ttok);
-            self.telemetry.profiler.stop("gpu_advance", span);
             let now = if outcome == RunOutcome::Finished {
                 self.sys.stats().end_ps
             } else {
                 horizon
             };
-            let span = self.telemetry.profiler.start();
             let ttok = self.telemetry.trace_begin("hmc_drain");
             let window = self
                 .sys
                 .hmc_mut()
                 .take_window_traced(now, self.hmc_trace.as_mut());
             self.telemetry.trace_end(ttok);
-            self.telemetry.profiler.stop("hmc_drain", span);
             let dur_s = window.duration_s(now).max(1e-9);
             let sample = TrafficSample {
                 window_s: dur_s,
@@ -419,19 +421,14 @@ impl<S: ThermalSolve> CoSim<S> {
             cube_energy_j += self.thermal.total_power_w(&sample) * dur_s;
             let readout = if first_epoch && self.cfg.warm_start {
                 first_epoch = false;
-                let span = self.telemetry.profiler.start();
                 let ttok = self.telemetry.trace_begin("thermal_solve");
                 let r = self.thermal.steady_state(&sample);
                 self.telemetry.trace_end(ttok);
-                self.telemetry.profiler.stop("thermal_solve", span);
                 r
             } else {
                 first_epoch = false;
-                self.thermal.step_traced(
-                    &sample,
-                    &mut self.telemetry.profiler,
-                    self.telemetry.trace.as_mut(),
-                )
+                self.thermal
+                    .step_traced(&sample, self.telemetry.trace.as_mut())
             };
             max_peak = max_peak.max(readout.peak_dram_c);
             if feedback {
@@ -540,12 +537,12 @@ impl<S: ThermalSolve> CoSim<S> {
             // Flight recorder: sample the spatial state after the
             // metrics fold (so pool/cap gauges reflect this epoch's
             // control actions), then scan the batch for anomaly
-            // triggers. Both paths time themselves so the run record can
-            // report the recorder's own overhead.
+            // triggers. Both paths count into `observer_s` so the run
+            // record can report the recorder's own overhead.
             if let Some(fl) = flight.as_mut() {
                 if epoch_idx.is_multiple_of(fl.cfg.every_epochs) {
-                    let span = self.telemetry.profiler.start();
                     let ttok = self.telemetry.trace_begin("flight_sample");
+                    let t0 = Instant::now();
                     self.thermal.vault_peak_dram_temps_into(&mut fl.temps);
                     let pool = self.telemetry.metrics.gauge_value("token_pool_size");
                     let cap = self.telemetry.metrics.gauge_value("warp_cap_slots");
@@ -564,8 +561,8 @@ impl<S: ThermalSolve> CoSim<S> {
                         s.flits = window.vault_flits[v];
                         s.queue_wait_ps = window.vault_queue_wait_ps[v];
                     }
+                    observer_s += t0.elapsed().as_secs_f64();
                     self.telemetry.trace_end(ttok);
-                    self.telemetry.profiler.stop("flight_sample", span);
                 }
                 let mut trigger: Option<(&'static str, Option<u64>)> = None;
                 for ev in &batch {
@@ -593,7 +590,8 @@ impl<S: ThermalSolve> CoSim<S> {
                         .is_none_or(|e| epoch_idx - e >= fl.cfg.min_gap_epochs);
                     if gap_ok && fl.dumps.len() < fl.cfg.max_dumps && !fl.rec.is_empty() {
                         fl.last_dump_epoch = Some(epoch_idx);
-                        let span = self.telemetry.profiler.start();
+                        let ttok = self.telemetry.trace_begin("flight_dump");
+                        let t0 = Instant::now();
                         let mut bundle = PostmortemBundle::from_recorder(
                             trig,
                             now,
@@ -627,13 +625,14 @@ impl<S: ThermalSolve> CoSim<S> {
                                 ),
                             }
                         }
-                        self.telemetry.profiler.stop("flight_dump", span);
+                        observer_s += t0.elapsed().as_secs_f64();
+                        self.telemetry.trace_end(ttok);
                     }
                 }
             }
 
-            let span = self.telemetry.profiler.start();
             let ttok = self.telemetry.trace_begin("telemetry_emit");
+            let t0 = self.telemetry.is_tracing().then(Instant::now);
             self.telemetry.emit_epoch_batch(&mut batch);
             self.telemetry.emit(TelemetryEvent::EpochSample {
                 t_ps: now,
@@ -642,8 +641,10 @@ impl<S: ThermalSolve> CoSim<S> {
                 peak_dram_c: readout.peak_dram_c,
                 phase: phase.name(),
             });
+            if let Some(t0) = t0 {
+                observer_s += t0.elapsed().as_secs_f64();
+            }
             self.telemetry.trace_end(ttok);
-            self.telemetry.profiler.stop("telemetry_emit", span);
             self.telemetry.metrics.count("epochs", 1);
             self.telemetry
                 .metrics
@@ -660,14 +661,14 @@ impl<S: ThermalSolve> CoSim<S> {
             }
 
             // Live monitor + heartbeat: both read the same wall-clock
-            // progress figures. The monitor sample is profiled so the
-            // run record's telemetry_overhead_pct covers it.
+            // progress figures. The monitor sample is timed so the run
+            // record's telemetry_overhead_pct covers it.
             if self.monitor.is_some() || self.heartbeat_s.is_some() {
                 let elapsed_s = run_started.elapsed().as_secs_f64().max(1e-9);
                 let epochs_per_s = epoch_idx as f64 / elapsed_s;
                 if let Some(hub) = &self.monitor {
-                    let span = self.telemetry.profiler.start();
                     let ttok = self.telemetry.trace_begin("monitor_sample");
+                    let t0 = Instant::now();
                     self.thermal.vault_peak_dram_temps_into(&mut mon_temps);
                     let sweeps_now = self.thermal.solver_stats().sweeps;
                     let total_wait_ps: u64 = window.vault_queue_wait_ps.iter().sum();
@@ -710,8 +711,8 @@ impl<S: ThermalSolve> CoSim<S> {
                     };
                     prev_sweeps = sweeps_now;
                     hub.sample(&obs, &self.telemetry.metrics);
+                    observer_s += t0.elapsed().as_secs_f64();
                     self.telemetry.trace_end(ttok);
-                    self.telemetry.profiler.stop("monitor_sample", span);
                 }
                 if let Some(beat_s) = self.heartbeat_s {
                     if elapsed_s >= next_beat {
@@ -784,9 +785,11 @@ impl<S: ThermalSolve> CoSim<S> {
         self.telemetry
             .metrics
             .merge_histogram("thermal_substep_sweeps", &solver.sweep_hist);
-        let span = self.telemetry.profiler.start();
-        self.telemetry.flush();
-        self.telemetry.profiler.stop("telemetry_emit", span);
+        if self.telemetry.is_tracing() {
+            let t0 = Instant::now();
+            self.telemetry.flush();
+            observer_s += t0.elapsed().as_secs_f64();
+        }
 
         // Close out the trace timeline: every track flushes its buffered
         // events (and its own recording cost) into the shared tracer, so
@@ -804,17 +807,12 @@ impl<S: ThermalSolve> CoSim<S> {
             .as_ref()
             .map_or(0.0, |t| t.tracer_self_s());
 
-        // Self-overhead: the observability machinery's own spans as a
-        // share of profiled wall time. Folded into the metrics before
-        // the snapshot so run records carry it.
-        let profile = self.telemetry.profiler.finish();
-        let self_time_s = profile.span_s("flight_sample")
-            + profile.span_s("flight_dump")
-            + profile.span_s("monitor_sample")
-            + profile.span_s("telemetry_emit")
-            + tracer_self_s;
-        let telemetry_overhead_pct = if profile.enabled && profile.wall_s > 0.0 {
-            100.0 * self_time_s / profile.wall_s
+        // Self-overhead: the observers' own time as a share of the run's
+        // wall time. Folded into the metrics before the snapshot so run
+        // records carry it.
+        let self_time_s = observer_s + tracer_self_s;
+        let telemetry_overhead_pct = if self_time_s > 0.0 {
+            100.0 * self_time_s / run_started.elapsed().as_secs_f64()
         } else {
             0.0
         };
@@ -848,7 +846,6 @@ impl<S: ThermalSolve> CoSim<S> {
             cube_energy_j,
             fan_energy_j: fan_power_w * exec_s,
             metrics: self.telemetry.metrics.take_snapshot(),
-            profile,
             throttle_steps,
             telemetry_overhead_pct,
             postmortem_dumps,
@@ -908,7 +905,7 @@ mod tests {
         let mut k = make_kernel(Workload::Dc, &g);
         let (sink, log) = RecordingSink::new();
         let r = tiny_cosim(Policy::CoolPimSw)
-            .with_telemetry(Telemetry::with_sink(Box::new(sink)).profiled())
+            .with_telemetry(Telemetry::with_sink(Box::new(sink)))
             .run(k.as_mut());
 
         let events = log.snapshot();
@@ -925,31 +922,48 @@ mod tests {
 
         assert_eq!(r.metrics.counter("epochs"), r.timeline.len() as u64);
         assert!(r.metrics.histogram("hmc_service_time_ps").is_some());
-        assert!(r.profile.enabled);
-        assert!(r.profile.span_s("gpu_advance") > 0.0);
     }
 
     #[test]
-    fn disabled_telemetry_produces_empty_profile() {
+    fn unobserved_run_reports_exactly_zero_overhead() {
         let g = GraphSpec::tiny().build();
         let mut k = make_kernel(Workload::Dc, &g);
         let r = tiny_cosim(Policy::NaiveOffloading).run(k.as_mut());
-        assert!(!r.profile.enabled);
-        assert!(r.profile.entries.is_empty());
+        // Bit-exact: replay fingerprints compare this field.
+        assert_eq!(r.telemetry_overhead_pct.to_bits(), 0.0f64.to_bits());
+        assert_eq!(r.metrics.gauge("telemetry_overhead_pct"), Some(0.0));
         // Metrics are always on: the epoch counter still runs.
         assert_eq!(r.metrics.counter("epochs"), r.timeline.len() as u64);
     }
 
     #[test]
+    fn tracer_only_run_reports_its_overhead() {
+        let g = GraphSpec::tiny().build();
+        let mut k = make_kernel(Workload::Dc, &g);
+        let tracer = Tracer::new();
+        let r = tiny_cosim(Policy::CoolPimSw)
+            .with_tracer(&tracer)
+            .run(k.as_mut());
+        assert!(
+            r.telemetry_overhead_pct > 0.0,
+            "the tracer's own cost must count: {}",
+            r.telemetry_overhead_pct
+        );
+        assert!(r.telemetry_overhead_pct < 100.0);
+        let profile = tracer.profile();
+        let epochs = profile.roots.iter().find(|n| n.name == "epoch");
+        assert!(epochs.is_some_and(|n| n.calls == r.timeline.len() as u64));
+    }
+
+    #[test]
     fn monitor_hub_tracks_the_run_and_reports_done() {
-        use coolpim_telemetry::{StatusSnapshot, Telemetry};
+        use coolpim_telemetry::StatusSnapshot;
 
         let g = GraphSpec::tiny().build();
         let mut k = make_kernel(Workload::Dc, &g);
         let hub = MonitorHub::new();
         hub.begin_run("dc+CoolPIM(SW)", "cafef00d");
         let r = tiny_cosim(Policy::CoolPimSw)
-            .with_telemetry(Telemetry::disabled().profiled())
             .with_monitor(hub.clone())
             .run(k.as_mut());
         assert!(hub.is_done(), "CoSim must mark the hub done at run end");
@@ -963,9 +977,8 @@ mod tests {
         let (t_ps, peak) = hub.latest("peak_dram_c").expect("series sampled");
         assert!(t_ps > 0);
         assert!((peak - r.timeline.last().unwrap().peak_dram_c).abs() < 1e-9);
-        // Sampling is profiled and folded into the overhead figure.
-        assert!(r.profile.span_s("monitor_sample") > 0.0);
-        assert!(r.telemetry_overhead_pct >= 0.0);
+        // Sampling is timed and folded into the overhead figure.
+        assert!(r.telemetry_overhead_pct > 0.0);
         // The mirrored registry reached the hub's exposition.
         let page = hub.metrics_text();
         coolpim_telemetry::validate_exposition(&page).expect("hub metrics validate");

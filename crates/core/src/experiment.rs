@@ -12,7 +12,7 @@ use std::sync::Mutex;
 use coolpim_graph::csr::Csr;
 use coolpim_graph::generate::GraphSpec;
 use coolpim_graph::workloads::{make_kernel, Workload};
-use coolpim_telemetry::{MetricsSnapshot, MonitorHub, ProfileReport, Telemetry, Tracer};
+use coolpim_telemetry::{MetricsSnapshot, MonitorHub, Tracer};
 
 use crate::cosim::{CoSim, CoSimConfig, CoSimResult};
 use crate::policy::Policy;
@@ -57,21 +57,10 @@ pub fn run_matrix(
     policies: &[Policy],
     cfg: CoSimConfig,
 ) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, false, None, None)
+    run_matrix_inner(graph, workloads, policies, cfg, None, None)
 }
 
-/// [`run_matrix`] with wall-clock span profiling enabled in every run;
-/// fold the per-run reports with [`aggregate_profiles`].
-pub fn run_matrix_profiled(
-    graph: &Csr,
-    workloads: &[Workload],
-    policies: &[Policy],
-    cfg: CoSimConfig,
-) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, true, None, None)
-}
-
-/// [`run_matrix_profiled`] with a hierarchical trace timeline: each
+/// [`run_matrix`] with a hierarchical trace timeline: each
 /// pool worker owns a `worker-N` track on `tracer` and brackets every
 /// cell it claims in a span named after the cell's workload, so the
 /// exported timeline shows how the matrix fanned out over threads —
@@ -83,14 +72,15 @@ pub fn run_matrix_traced(
     cfg: CoSimConfig,
     tracer: &Tracer,
 ) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, true, None, Some(tracer))
+    run_matrix_inner(graph, workloads, policies, cfg, None, Some(tracer))
 }
 
-/// [`run_matrix_profiled`] with every run publishing live epoch
+/// [`run_matrix`] with every run publishing live epoch
 /// observations into `hub`. The cells run concurrently, so the hub
 /// shows an interleaved view of whichever runs are in flight — status
 /// identity (run id, config hash) should be stamped by the caller via
-/// [`MonitorHub::begin_run`] before the matrix starts.
+/// [`MonitorHub::begin_run`] before the matrix starts. The attached
+/// monitor makes every run report its `telemetry_overhead_pct`.
 pub fn run_matrix_monitored(
     graph: &Csr,
     workloads: &[Workload],
@@ -98,7 +88,7 @@ pub fn run_matrix_monitored(
     cfg: CoSimConfig,
     hub: MonitorHub,
 ) -> Vec<WorkloadResults> {
-    run_matrix_inner(graph, workloads, policies, cfg, true, Some(hub), None)
+    run_matrix_inner(graph, workloads, policies, cfg, Some(hub), None)
 }
 
 fn run_matrix_inner(
@@ -106,7 +96,6 @@ fn run_matrix_inner(
     workloads: &[Workload],
     policies: &[Policy],
     cfg: CoSimConfig,
-    profile: bool,
     hub: Option<MonitorHub>,
     tracer: Option<&Tracer>,
 ) -> Vec<WorkloadResults> {
@@ -163,9 +152,6 @@ fn run_matrix_inner(
                     let started = std::time::Instant::now();
                     let mut kernel = make_kernel(w, graph);
                     let mut sim = CoSim::new(p, cfg.clone());
-                    if profile {
-                        sim = sim.with_telemetry(Telemetry::disabled().profiled());
-                    }
                     if let Some(hub) = hub.clone() {
                         sim = sim.with_monitor(hub);
                     }
@@ -368,21 +354,6 @@ pub fn mean_speedup(results: &[WorkloadResults], policy: Policy) -> f64 {
     speedups.iter().sum::<f64>() / speedups.len() as f64
 }
 
-/// Folds every run's wall-clock profile for `policy` into one report
-/// (pass `None` to aggregate across all policies). Empty unless the
-/// runs were executed with profiling enabled.
-pub fn aggregate_profiles(results: &[WorkloadResults], policy: Option<Policy>) -> ProfileReport {
-    let mut agg = ProfileReport::default();
-    for wr in results {
-        for run in &wr.runs {
-            if policy.is_none_or(|p| p == run.policy) {
-                agg.merge(&run.profile);
-            }
-        }
-    }
-    agg
-}
-
 /// Folds every run's metrics snapshot for `policy` into one (pass
 /// `None` to aggregate across all policies): counters sum, gauges keep
 /// their maximum, histograms combine.
@@ -507,19 +478,5 @@ mod tests {
                 direct.max_peak_dram_c.to_bits()
             );
         }
-    }
-
-    #[test]
-    fn unprofiled_matrix_aggregates_to_empty_profile() {
-        let g = GraphSpec::tiny().build();
-        let res = run_matrix(
-            &g,
-            &[Workload::Dc],
-            &[Policy::NonOffloading],
-            CoSimConfig::default(),
-        );
-        let prof = aggregate_profiles(&res, None);
-        assert!(!prof.enabled);
-        assert!(prof.entries.is_empty());
     }
 }

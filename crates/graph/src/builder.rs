@@ -209,7 +209,7 @@ fn sort_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SplitMix64;
+    use coolpim_telemetry::rng::SplitMix64;
     use std::collections::BTreeMap;
 
     #[test]

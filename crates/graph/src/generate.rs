@@ -9,7 +9,7 @@
 
 use crate::builder;
 use crate::csr::Csr;
-use crate::rng::SplitMix64;
+use coolpim_telemetry::rng::SplitMix64;
 
 /// R-MAT quadrant probabilities with social-network skew.
 pub const RMAT_SOCIAL: (f64, f64, f64, f64) = (0.45, 0.22, 0.22, 0.11);

@@ -12,9 +12,6 @@
 //!   property arrays in the PIM/uncacheable region),
 //! * [`trace`] — warp-trace emission helpers,
 //! * [`mod@reference`] — sequential reference algorithms used by tests,
-//! * [`rng`] — the dependency-free deterministic PRNG behind the
-//!   generators (also used by randomized tests elsewhere in the
-//!   workspace),
 //! * [`workloads`] — the ten paper benchmarks (`dc`, `bfs-ta`, `bfs-dwc`,
 //!   `bfs-twc`, `bfs-ttc`, `kcore`, `pagerank`, `sssp-dtc`, `sssp-dwc`,
 //!   `sssp-twc`), each implementing [`coolpim_gpu::Kernel`].
@@ -39,7 +36,6 @@ pub mod generate;
 pub mod io;
 pub mod layout;
 pub mod reference;
-pub mod rng;
 pub mod trace;
 pub mod workloads;
 

@@ -1,7 +1,7 @@
 //! # coolpim-telemetry
 //!
 //! Observability for the CoolPIM co-simulation loop: a typed event bus,
-//! a metrics registry, and span-based wall-clock profiling. Zero
+//! a metrics registry, and hierarchical trace timelines. Zero
 //! third-party dependencies.
 //!
 //! The whole point of CoolPIM is a closed feedback loop — PIM traffic →
@@ -17,8 +17,6 @@
 //!   [`JsonlSink`] and [`CsvSink`] (file streams);
 //! * [`metrics`] — named counters/gauges and log2-bucketed latency
 //!   [`Histogram`]s, drained per run into a [`MetricsSnapshot`];
-//! * [`span`] — wall-clock [`Profiler`] spans over the co-sim hot
-//!   phases, reported as a per-run self-time breakdown;
 //! * [`json`] — the shared flat-JSON writer/parser behind the JSONL
 //!   stream, the metrics serializer, and the run-record store;
 //! * [`analysis`] — control-loop KPIs derived from an event stream:
@@ -42,11 +40,14 @@
 //!   permutation tests and effect sizes ([`drift`]), and change-point
 //!   detection over a metric history ([`change_points`]) — the engine
 //!   of the `obs` observatory and its noise-aware gate;
+//! * [`rng`] — the dependency-free deterministic [`rng::SplitMix64`]
+//!   PRNG shared by the graph generators, the bootstrap/permutation
+//!   resampling in [`stats`], and the randomized test suites;
 //! * [`tolerance`] — the shared [`Tolerance`] band (`abs + rel·|base|`)
 //!   used by the run-record regression gates and the lockstep oracle;
-//! * [`tracer`] — hierarchical trace timelines: nested spans on
-//!   per-thread [`TraceTrack`]s, counter tracks, warning→throttle flow
-//!   events, Chrome trace-event JSON export for Perfetto
+//! * [`tracer`] — the one span system: hierarchical trace timelines
+//!   with nested spans on per-thread [`TraceTrack`]s, counter tracks,
+//!   warning→throttle flow events, Chrome trace-event JSON export for Perfetto
 //!   ([`Tracer::to_chrome_json`], checked in-tree by
 //!   [`validate_trace_json`]), and the aggregated self/total-time
 //!   [`TraceProfile`] tree with critical-path extraction.
@@ -73,8 +74,8 @@ pub mod flight;
 pub mod json;
 pub mod metrics;
 pub mod monitor;
+pub mod rng;
 pub mod sink;
-pub mod span;
 pub mod stats;
 pub mod timeseries;
 pub mod tolerance;
@@ -90,10 +91,9 @@ pub use sink::{
     CsvSink, EventLog, JsonlSink, MultiSink, NullSink, RecordingSink, RotatingJsonlSink, Sink,
     CSV_TIMELINE_HEADER,
 };
-pub use span::{ProfileReport, Profiler, SpanTimer};
 pub use stats::{
     bootstrap_ci, change_points, drift, effect_size, median, noise_sigma, permutation_p, summarize,
-    Drift, StatsRng, Summary,
+    Drift, Summary,
 };
 pub use timeseries::{Agg, SeriesSet, TimeSeries};
 pub use tolerance::Tolerance;
@@ -102,7 +102,7 @@ pub use tracer::{
 };
 
 /// The per-run telemetry bundle the co-simulator carries: an optional
-/// event sink, the metrics registry, and the profiler.
+/// event sink, the metrics registry, and an optional timeline track.
 ///
 /// The default ([`Telemetry::disabled`]) costs one branch per emit and
 /// never reads the wall clock — cheap enough to leave compiled into the
@@ -112,8 +112,6 @@ pub struct Telemetry {
     sink: Option<Box<dyn Sink>>,
     /// Named counters, gauges, and histograms for this run.
     pub metrics: MetricsRegistry,
-    /// Wall-clock span profiler for this run.
-    pub profiler: Profiler,
     /// Main timeline track of the hierarchical tracer, when trace
     /// timelines are on (see [`Tracer`]); the `trace_*` helpers below
     /// keep the hot loop free of `Option` plumbing.
@@ -121,26 +119,18 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// No sink, no profiling — the default for production runs.
+    /// No sink, no tracer — the default for production runs.
     pub fn disabled() -> Self {
         Self::default()
     }
 
-    /// Streams events into `sink`; profiling stays off unless
-    /// [`Self::profiled`] is chained.
+    /// Streams events into `sink`.
     pub fn with_sink(sink: Box<dyn Sink>) -> Self {
         Self {
             sink: Some(sink),
             metrics: MetricsRegistry::new(),
-            profiler: Profiler::disabled(),
             trace: None,
         }
-    }
-
-    /// Enables wall-clock span profiling (builder style).
-    pub fn profiled(mut self) -> Self {
-        self.profiler = Profiler::enabled();
-        self
     }
 
     /// Attaches the run's main timeline track (builder style).
@@ -264,11 +254,5 @@ mod tests {
         t.emit_epoch_batch(&mut batch);
         let times: Vec<u64> = log.snapshot().iter().map(|e| e.t_ps()).collect();
         assert_eq!(times, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn profiled_builder_enables_spans() {
-        let t = Telemetry::disabled().profiled();
-        assert!(t.profiler.is_enabled());
     }
 }

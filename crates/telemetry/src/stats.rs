@@ -9,8 +9,7 @@
 //! * [`summarize`] — median, MAD, min/max, mean, and a bootstrap 95 %
 //!   confidence interval on the median, folded into a [`Summary`];
 //! * [`bootstrap_ci`] — percentile bootstrap over the in-tree
-//!   deterministic RNG (same SplitMix64 stream as `coolpim_graph::rng`,
-//!   re-implemented here because telemetry sits below the graph crate);
+//!   deterministic [`SplitMix64`] stream;
 //! * [`permutation_p`] — exact (small n) or Monte-Carlo two-sample
 //!   permutation test on the difference of means, the significance half
 //!   of the drift gate;
@@ -23,44 +22,7 @@
 //! Everything is deterministic for a given seed and allocation-light;
 //! no third-party dependencies.
 
-/// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) — bit-identical to
-/// `coolpim_graph::rng::SplitMix64`, duplicated here because this crate
-/// is the workspace's dependency root and cannot import the graph
-/// crate. Used only for bootstrap/permutation resampling.
-#[derive(Debug, Clone)]
-pub struct StatsRng {
-    state: u64,
-}
-
-impl StatsRng {
-    /// Creates a generator; equal seeds yield equal streams.
-    pub fn seed_from_u64(seed: u64) -> Self {
-        Self { state: seed }
-    }
-
-    /// Next raw 64-bit value.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, bound)` via the widening-multiply trick.
-    #[inline]
-    pub fn gen_index(&mut self, bound: usize) -> usize {
-        debug_assert!(bound > 0);
-        ((self.next_u64() as u128 * bound as u128) >> 64) as usize
-    }
-
-    /// Uniform `f64` in `[0, 1)` with 53 random mantissa bits.
-    #[inline]
-    pub fn gen_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
+use crate::rng::SplitMix64;
 
 /// Median of `xs` (mean of the middle pair for even lengths). Returns
 /// NaN on an empty slice.
@@ -162,12 +124,12 @@ pub fn bootstrap_ci(
     seed: u64,
 ) -> (f64, f64) {
     assert!(!xs.is_empty(), "bootstrap over an empty sample");
-    let mut rng = StatsRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let mut scratch = vec![0.0; xs.len()];
     let mut stats = Vec::with_capacity(resamples.max(1));
     for _ in 0..resamples.max(1) {
         for s in scratch.iter_mut() {
-            *s = xs[rng.gen_index(xs.len())];
+            *s = xs[rng.gen_range_u64(xs.len() as u64) as usize];
         }
         stats.push(stat(&scratch));
     }
@@ -221,14 +183,14 @@ pub fn permutation_p(a: &[f64], b: &[f64], rounds: usize, seed: u64) -> f64 {
         }
         hits as f64 / total as f64
     } else {
-        let mut rng = StatsRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut pool = pool;
         let mut hits = 0u64;
         let rounds = rounds.max(1);
         for _ in 0..rounds {
             // Partial Fisher–Yates: shuffle the first n positions.
             for i in 0..n {
-                let j = i + rng.gen_index(pool.len() - i);
+                let j = i + rng.gen_range_u64((pool.len() - i) as u64) as usize;
                 pool.swap(i, j);
             }
             let mean_a = pool[..n].iter().sum::<f64>() / n as f64;
@@ -428,7 +390,7 @@ mod tests {
 
     /// Samples from a triangular-ish distribution centred on `center`
     /// (sum of two uniforms), median = center.
-    fn noisy(rng: &mut StatsRng, center: f64, spread: f64, n: usize) -> Vec<f64> {
+    fn noisy(rng: &mut SplitMix64, center: f64, spread: f64, n: usize) -> Vec<f64> {
         (0..n)
             .map(|_| center + spread * (rng.gen_f64() + rng.gen_f64() - 1.0))
             .collect()
@@ -453,7 +415,7 @@ mod tests {
 
     #[test]
     fn bootstrap_ci_brackets_the_median_and_is_deterministic() {
-        let mut rng = StatsRng::seed_from_u64(9);
+        let mut rng = SplitMix64::seed_from_u64(9);
         let xs = noisy(&mut rng, 10.0, 1.0, 40);
         let (lo, hi) = bootstrap_ci(&xs, median, 500, 0.95, 7);
         let med = median(&xs);
@@ -470,7 +432,7 @@ mod tests {
     /// under-coverage and Monte-Carlo error).
     #[test]
     fn bootstrap_ci_coverage_is_near_nominal() {
-        let mut rng = StatsRng::seed_from_u64(4242);
+        let mut rng = SplitMix64::seed_from_u64(4242);
         let trials = 200;
         let mut covered = 0;
         for t in 0..trials {
@@ -505,7 +467,7 @@ mod tests {
 
     #[test]
     fn permutation_p_detects_a_large_shift_in_bigger_samples() {
-        let mut rng = StatsRng::seed_from_u64(11);
+        let mut rng = SplitMix64::seed_from_u64(11);
         let a = noisy(&mut rng, 0.0, 1.0, 25);
         let b = noisy(&mut rng, 2.0, 1.0, 25);
         // 25v25 exceeds the exact-enumeration bound → Monte Carlo.
@@ -518,7 +480,7 @@ mod tests {
     /// over 300 trials must sit near 10 %.
     #[test]
     fn permutation_false_positive_rate_under_null_matches_alpha() {
-        let mut rng = StatsRng::seed_from_u64(77);
+        let mut rng = SplitMix64::seed_from_u64(77);
         let trials = 300;
         let mut rejections = 0;
         for t in 0..trials {
@@ -548,7 +510,7 @@ mod tests {
     /// step series.
     #[test]
     fn change_points_find_a_step_and_ignore_flat_noise() {
-        let mut rng = StatsRng::seed_from_u64(5);
+        let mut rng = SplitMix64::seed_from_u64(5);
         // 30 epochs at 10, then 30 at 13, σ ≈ 0.3.
         let mut xs = noisy(&mut rng, 10.0, 0.3, 30);
         xs.extend(noisy(&mut rng, 13.0, 0.3, 30));
@@ -577,7 +539,7 @@ mod tests {
 
     #[test]
     fn two_steps_are_both_recovered() {
-        let mut rng = StatsRng::seed_from_u64(21);
+        let mut rng = SplitMix64::seed_from_u64(21);
         let mut xs = noisy(&mut rng, 0.0, 0.2, 25);
         xs.extend(noisy(&mut rng, 4.0, 0.2, 25));
         xs.extend(noisy(&mut rng, 1.0, 0.2, 25));

@@ -2,9 +2,9 @@
 //! counter tracks, and flow events, exported as Chrome trace-event JSON
 //! (loadable at `ui.perfetto.dev`).
 //!
-//! The flat [`crate::Profiler`] answers "how much time went to phase
-//! X?"; the tracer here answers "where *inside* an epoch did the time
-//! go, on which worker, and which warning caused which throttle":
+//! The crate's one span system. It answers "how much time went to
+//! phase X?" and also "where *inside* an epoch did the time go, on
+//! which worker, and which warning caused which throttle":
 //!
 //! * a [`Tracer`] owns the shared clock and collects everything the
 //!   per-thread [`TraceTrack`] handles record;

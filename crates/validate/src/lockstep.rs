@@ -18,10 +18,10 @@ use coolpim_core::reference::{ReferenceHwDynT, ReferenceSwDynT};
 use coolpim_core::sw_dynt::{SwDynT, SwDynTConfig};
 use coolpim_gpu::kernel::KernelProfile;
 use coolpim_gpu::OffloadController;
-use coolpim_graph::rng::SplitMix64;
 use coolpim_hmc::timing::DramTiming;
 use coolpim_hmc::vault::Vault;
 use coolpim_hmc::{Ps, ReferenceVault, VaultTiming};
+use coolpim_telemetry::rng::SplitMix64;
 use coolpim_telemetry::{FlightRecorder, PostmortemBundle, TelemetryEvent, Tolerance};
 use coolpim_thermal::solver::ThermalSolve;
 use coolpim_thermal::{Cooling, HmcThermalModel, ReferenceTransient};

@@ -12,9 +12,9 @@
 //! the front) and a reduction is adopted whenever the property still
 //! fails, terminating at a locally-minimal diverging input.
 
-use coolpim_graph::rng::SplitMix64;
 use coolpim_hmc::vault::VaultAccess;
 use coolpim_hmc::Ps;
+use coolpim_telemetry::rng::SplitMix64;
 use coolpim_thermal::power::TrafficSample;
 
 /// Scenario size: how big a cube and how many epochs.

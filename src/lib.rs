@@ -14,7 +14,7 @@
 //! * [`trace`] — record-once/replay-everywhere workload traces: a
 //!   versioned compact binary format (`.cptr`), the recording tee, and
 //!   the replay instruction sources,
-//! * [`telemetry`] — typed event tracing, metrics, wall-clock profiling
+//! * [`telemetry`] — typed event tracing, metrics, trace timelines
 //!   of the co-simulation loop, and the spatial flight recorder behind
 //!   postmortem dump bundles,
 //! * [`validate`] — the lockstep oracle: reference and optimized

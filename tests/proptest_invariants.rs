@@ -1,17 +1,17 @@
 //! Randomized tests over the cross-crate invariants.
 //!
 //! Deterministic seeded sweeps (via the workspace's own
-//! [`coolpim::graph::rng`] PRNG) stand in for an external
+//! [`coolpim::telemetry::rng`] PRNG) stand in for an external
 //! property-testing framework: each test draws a few dozen random cases
 //! from a fixed seed, so failures reproduce exactly and the suite needs
 //! no third-party dependencies.
 
 use coolpim::graph::builder;
 use coolpim::graph::reference;
-use coolpim::graph::rng::SplitMix64;
 use coolpim::graph::workloads::bfs::{BfsKernel, BfsVariant};
 use coolpim::graph::workloads::sssp::{SsspKernel, SsspVariant};
 use coolpim::prelude::*;
+use coolpim::telemetry::rng::SplitMix64;
 
 /// Random small weighted digraph.
 fn random_graph(rng: &mut SplitMix64) -> Csr {

@@ -13,8 +13,8 @@ use std::path::PathBuf;
 
 use coolpim::gpu::isa::{BlockTrace, WarpOp, WarpTrace};
 use coolpim::gpu::kernel::KernelProfile;
-use coolpim::graph::rng::SplitMix64;
 use coolpim::hmc::PimOp;
+use coolpim::telemetry::rng::SplitMix64;
 use coolpim::trace::{TraceError, WorkloadTrace, TRACE_MAGIC, TRACE_VERSION};
 
 /// Random trace exercising every op kind, empty warps, empty blocks,
