@@ -21,25 +21,30 @@ impl CacheOutcome {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp: larger = more recent.
-    lru: u64,
-}
+/// Tag of an invalid way. Real tags are `addr / line_bytes` shifted
+/// right by the set bits, and `line_bytes >= 2`, so none reaches it.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative, write-back, write-allocate cache model.
 ///
 /// Only tags are tracked — this is a timing/traffic model, not a
-/// functional cache.
+/// functional cache. The tags are stored per set as a structure of
+/// arrays: set `s` owns `tags[s * ways..][..ways]` (with `u64::MAX` in
+/// empty ways), and the LRU stamps and dirty bits sit in side arrays of
+/// the same shape, so a hit scan reads one contiguous run of `u64`s.
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: usize,
     ways: usize,
-    line_bytes: u64,
-    lines: Vec<Line>,
+    /// `sets - 1`.
+    set_mask: usize,
+    /// `log2(sets)`.
+    set_bits: u32,
+    /// `log2(line_bytes)`.
+    line_bits: u32,
+    tags: Vec<u64>,
+    /// LRU stamp per way: larger = more recent.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -53,16 +58,19 @@ impl Cache {
     /// Panics unless the geometry divides evenly and sizes are powers of
     /// two where required.
     pub fn new(total_bytes: usize, ways: usize, line_bytes: usize) -> Self {
-        assert!(ways >= 1 && line_bytes.is_power_of_two());
+        assert!(ways >= 1 && line_bytes.is_power_of_two() && line_bytes >= 2);
         let lines_total = total_bytes / line_bytes;
         assert!(lines_total >= ways, "cache smaller than one set");
         let sets = lines_total / ways;
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Self {
-            sets,
             ways,
-            line_bytes: line_bytes as u64,
-            lines: vec![Line::default(); sets * ways],
+            set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
+            line_bits: line_bytes.trailing_zeros(),
+            tags: vec![INVALID; sets * ways],
+            stamps: vec![0; sets * ways],
+            dirty: vec![false; sets * ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -72,63 +80,39 @@ impl Cache {
     /// Accesses `addr`; `write` marks the line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
         self.tick += 1;
-        let block = addr / self.line_bytes;
-        let set = (block as usize) & (self.sets - 1);
-        let tag = block >> self.sets.trailing_zeros();
+        let block = addr >> self.line_bits;
+        let set = (block as usize) & self.set_mask;
+        let tag = block >> self.set_bits;
         let base = set * self.ways;
-        // Hit?
-        for way in 0..self.ways {
-            let line = &mut self.lines[base + way];
-            if line.valid && line.tag == tag {
-                line.lru = self.tick;
-                line.dirty |= write;
-                self.hits += 1;
-                return CacheOutcome::Hit;
-            }
+        let tags = &self.tags[base..base + self.ways];
+        if let Some(way) = tags.iter().position(|&t| t == tag) {
+            self.stamps[base + way] = self.tick;
+            self.dirty[base + way] |= write;
+            self.hits += 1;
+            return CacheOutcome::Hit;
         }
-        // Miss: fill into invalid or LRU way.
+        // Miss: fill the first invalid way, else the least recently used.
         self.misses += 1;
-        let mut victim = base;
-        let mut best = u64::MAX;
-        for way in 0..self.ways {
-            let line = &self.lines[base + way];
-            if !line.valid {
-                victim = base + way;
-                break;
-            }
-            if line.lru < best {
-                best = line.lru;
-                victim = base + way;
-            }
-        }
-        let old = self.lines[victim];
-        let writeback = (old.valid && old.dirty).then(|| {
-            let victim_block = (old.tag << self.sets.trailing_zeros()) | set as u64;
-            victim_block * self.line_bytes
-        });
-        self.lines[victim] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: self.tick,
-        };
-        CacheOutcome::Miss { writeback }
-    }
-
-    /// Invalidates everything (kernel boundary, context switch).
-    pub fn flush(&mut self) -> Vec<u64> {
-        let mut writebacks = Vec::new();
-        for set in 0..self.sets {
-            for way in 0..self.ways {
-                let line = &mut self.lines[set * self.ways + way];
-                if line.valid && line.dirty {
-                    let block = (line.tag << self.sets.trailing_zeros()) | set as u64;
-                    writebacks.push(block * self.line_bytes);
+        let way = tags.iter().position(|&t| t == INVALID).unwrap_or_else(|| {
+            let stamps = &self.stamps[base..base + self.ways];
+            let mut victim = 0;
+            for (w, &stamp) in stamps.iter().enumerate().skip(1) {
+                if stamp < stamps[victim] {
+                    victim = w;
                 }
-                *line = Line::default();
             }
-        }
-        writebacks
+            victim
+        });
+        let victim = base + way;
+        let old = self.tags[victim];
+        let writeback = (old != INVALID && self.dirty[victim]).then(|| {
+            let victim_block = (old << self.set_bits) | set as u64;
+            victim_block << self.line_bits
+        });
+        self.tags[victim] = tag;
+        self.stamps[victim] = self.tick;
+        self.dirty[victim] = write;
+        CacheOutcome::Miss { writeback }
     }
 
     /// (hits, misses) counters.
@@ -150,6 +134,154 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coolpim_telemetry::rng::SplitMix64;
+
+    /// The array-of-structs cache the flat layout replaced, kept as the
+    /// differential reference: one `Line` per way, validity as a flag.
+    mod reference {
+        use super::CacheOutcome;
+
+        #[derive(Debug, Clone, Copy, Default)]
+        struct Line {
+            tag: u64,
+            valid: bool,
+            dirty: bool,
+            lru: u64,
+        }
+
+        pub struct RefCache {
+            sets: usize,
+            ways: usize,
+            line_bytes: u64,
+            lines: Vec<Line>,
+            tick: u64,
+            pub hits: u64,
+            pub misses: u64,
+        }
+
+        impl RefCache {
+            pub fn new(total_bytes: usize, ways: usize, line_bytes: usize) -> Self {
+                let sets = total_bytes / line_bytes / ways;
+                Self {
+                    sets,
+                    ways,
+                    line_bytes: line_bytes as u64,
+                    lines: vec![Line::default(); sets * ways],
+                    tick: 0,
+                    hits: 0,
+                    misses: 0,
+                }
+            }
+
+            pub fn access(&mut self, addr: u64, write: bool) -> CacheOutcome {
+                self.tick += 1;
+                let block = addr / self.line_bytes;
+                let set = (block as usize) & (self.sets - 1);
+                let tag = block >> self.sets.trailing_zeros();
+                let base = set * self.ways;
+                for way in 0..self.ways {
+                    let line = &mut self.lines[base + way];
+                    if line.valid && line.tag == tag {
+                        line.lru = self.tick;
+                        line.dirty |= write;
+                        self.hits += 1;
+                        return CacheOutcome::Hit;
+                    }
+                }
+                self.misses += 1;
+                let mut victim = base;
+                let mut best = u64::MAX;
+                for way in 0..self.ways {
+                    let line = &self.lines[base + way];
+                    if !line.valid {
+                        victim = base + way;
+                        break;
+                    }
+                    if line.lru < best {
+                        best = line.lru;
+                        victim = base + way;
+                    }
+                }
+                let old = self.lines[victim];
+                let writeback = (old.valid && old.dirty).then(|| {
+                    let victim_block = (old.tag << self.sets.trailing_zeros()) | set as u64;
+                    victim_block * self.line_bytes
+                });
+                self.lines[victim] = Line {
+                    tag,
+                    valid: true,
+                    dirty: write,
+                    lru: self.tick,
+                };
+                CacheOutcome::Miss { writeback }
+            }
+        }
+    }
+
+    /// Drives the flat cache and the reference with the same `(addr,
+    /// write)` stream; every outcome and the final counters must agree.
+    fn assert_matches_reference(
+        total_bytes: usize,
+        ways: usize,
+        stream: impl Iterator<Item = (u64, bool)>,
+    ) {
+        let mut flat = Cache::new(total_bytes, ways, 64);
+        let mut reference = reference::RefCache::new(total_bytes, ways, 64);
+        let mut writebacks = 0;
+        for (i, (addr, write)) in stream.enumerate() {
+            let got = flat.access(addr, write);
+            assert_eq!(
+                got,
+                reference.access(addr, write),
+                "access {i} to {addr:#x}"
+            );
+            writebacks += usize::from(matches!(got, CacheOutcome::Miss { writeback: Some(_) }));
+        }
+        assert_eq!(flat.stats(), (reference.hits, reference.misses));
+        assert!(reference.hits > 0 && writebacks > 0, "stream too tame");
+    }
+
+    /// Seeded reads and writes: 70 % to a hot region half the cache's
+    /// size, the rest scattered over 8× its size.
+    fn mixed_stream(seed: u64, total_bytes: usize) -> impl Iterator<Item = (u64, bool)> {
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        (0..200_000).map(move |_| {
+            let span = if rng.gen_f64() < 0.7 {
+                total_bytes / 2
+            } else {
+                total_bytes * 8
+            };
+            (rng.gen_range_u64(span as u64), rng.gen_f64() < 0.3)
+        })
+    }
+
+    #[test]
+    fn flat_cache_matches_reference_on_l1_geometry() {
+        assert_matches_reference(16 * 1024, 4, mixed_stream(1, 16 * 1024));
+    }
+
+    #[test]
+    fn flat_cache_matches_reference_on_l2_geometry() {
+        assert_matches_reference(1024 * 1024, 16, mixed_stream(2, 1024 * 1024));
+    }
+
+    #[test]
+    fn flat_cache_matches_reference_on_conflicts() {
+        // Three sets of the L2 geometry, each hammered by 3× as many
+        // distinct lines as it has ways: LRU victims on nearly every miss.
+        let (total, ways) = (1024 * 1024, 16);
+        let set_stride = (total / ways) as u64;
+        let mut rng = SplitMix64::seed_from_u64(3);
+        let stream = (0..200_000).map(move |_| {
+            let set = rng.gen_range_u64(3) * 64;
+            let line = rng.gen_range_u64(3 * ways as u64);
+            (
+                line * set_stride + set + rng.gen_range_u64(64),
+                rng.gen_f64() < 0.5,
+            )
+        });
+        assert_matches_reference(total, ways, stream);
+    }
 
     #[test]
     fn second_access_hits() {
@@ -191,18 +323,6 @@ mod tests {
         c.access(2 * stride, false); // evicts `stride`, not 0
         assert!(c.access(0, false).is_hit());
         assert!(!c.access(stride, false).is_hit());
-    }
-
-    #[test]
-    fn flush_returns_dirty_lines_and_clears() {
-        let mut c = Cache::new(4096, 4, 64);
-        c.access(0x000, true);
-        c.access(0x040, false);
-        c.access(0x080, true);
-        let mut wb = c.flush();
-        wb.sort_unstable();
-        assert_eq!(wb, vec![0x000, 0x080]);
-        assert!(!c.access(0x000, false).is_hit());
     }
 
     #[test]

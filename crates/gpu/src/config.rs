@@ -72,11 +72,6 @@ impl GpuConfig {
     pub fn cycle_ps(&self) -> Ps {
         (1e12 / self.clock_hz).round() as Ps
     }
-
-    /// Picoseconds for `cycles` core cycles.
-    pub fn cycles_ps(&self, cycles: u32) -> Ps {
-        u64::from(cycles) * self.cycle_ps()
-    }
 }
 
 #[cfg(test)]
@@ -111,12 +106,5 @@ mod more_tests {
         assert!(t.sms < p.sms);
         assert!(t.l2_bytes < p.l2_bytes);
         assert_eq!(t.threads_per_warp, p.threads_per_warp);
-    }
-
-    #[test]
-    fn cycles_ps_scales_linearly() {
-        let c = GpuConfig::paper();
-        assert_eq!(c.cycles_ps(10), 10 * c.cycle_ps());
-        assert_eq!(c.cycles_ps(0), 0);
     }
 }

@@ -3,7 +3,9 @@
 //! Warps are scheduled through one global event heap keyed by
 //! `(ready_time, warp_slot)`; each step issues one warp instruction on
 //! its SM (a serial issue resource), walks the memory hierarchy, and
-//! requeues the warp at its next ready time. This "next-free-time"
+//! re-keys the warp in place at its next ready time. A warp slot is in
+//! the heap at most once, so keys are unique and the pop order does not
+//! depend on how the heap arranges them. This "next-free-time"
 //! engine is what makes multi-millisecond co-simulation windows cheap
 //! while still producing bank-, link-, and cache-accurate traffic.
 //!
@@ -69,6 +71,8 @@ struct BlockRun {
 /// The host GPU coupled to an HMC cube.
 pub struct GpuSystem {
     cfg: GpuConfig,
+    /// `cfg.cycle_ps()`, computed once.
+    cycle: Ps,
     hmc: Hmc,
     l1: Vec<Cache>,
     l2: Cache,
@@ -116,6 +120,7 @@ impl GpuSystem {
             cfg.sms
         ];
         Self {
+            cycle: cfg.cycle_ps(),
             cfg,
             hmc,
             l1,
@@ -246,7 +251,9 @@ impl GpuSystem {
             if self.finished {
                 return RunOutcome::Finished;
             }
-            match self.heap.pop() {
+            // The top warp stays in the heap while it steps: `step_warp`
+            // re-keys it in place, or pops it when it retires.
+            match self.heap.peek() {
                 None => {
                     // No resident warps. Dispatch stragglers or move to
                     // the next launch.
@@ -279,9 +286,8 @@ impl GpuSystem {
                     });
                     return RunOutcome::Finished;
                 }
-                Some(Reverse((ready, slot))) => {
+                Some(&Reverse((ready, slot))) => {
                     if ready > until {
-                        self.heap.push(Reverse((ready, slot)));
                         return RunOutcome::Paused;
                     }
                     self.step_warp(slot, ready, kernel, controller);
@@ -405,6 +411,13 @@ impl GpuSystem {
         }
     }
 
+    /// Picoseconds for `cycles` core cycles.
+    fn cycles(&self, cycles: u32) -> Ps {
+        u64::from(cycles) * self.cycle
+    }
+
+    /// Issues the next instruction of the warp at the heap top, keyed
+    /// `(ready, slot)`.
     // Index loops below iterate a scratch vector while `&mut self` methods
     // are called in the body — iterator forms would hold a borrow.
     #[allow(clippy::needless_range_loop)]
@@ -421,14 +434,14 @@ impl GpuSystem {
         self.now = self.now.max(issue_start);
         self.stats.instructions += 1;
 
-        let cycle = self.cfg.cycle_ps();
+        let cycle = self.cycle;
         let op = &warp.trace.ops[warp.pc];
         warp.pc += 1;
 
         let next_ready = match op {
             WarpOp::Compute(cycles) => {
                 self.sms[sm].issue_next_free = issue_start + cycle;
-                issue_start + self.cfg.cycles_ps(*cycles)
+                issue_start + self.cycles(*cycles)
             }
             WarpOp::Load(addrs) => {
                 self.stats.loads += 1;
@@ -436,7 +449,7 @@ impl GpuSystem {
                 coalesce_into(addrs, &mut blocks);
                 let txs = blocks.len().max(1) as u64;
                 self.sms[sm].issue_next_free = issue_start + txs * cycle;
-                let mut data_ready = issue_start + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+                let mut data_ready = issue_start + self.cycles(self.cfg.l1_hit_cycles);
                 for i in 0..blocks.len() {
                     let r = self.load_block(sm, issue_start, blocks[i], controller);
                     data_ready = data_ready.max(r);
@@ -450,7 +463,7 @@ impl GpuSystem {
                 coalesce_into(addrs, &mut blocks);
                 let txs = blocks.len().max(1) as u64;
                 self.sms[sm].issue_next_free = issue_start + txs * cycle;
-                let mut accepted = issue_start + self.cfg.cycles_ps(self.cfg.store_issue_cycles);
+                let mut accepted = issue_start + self.cycles(self.cfg.store_issue_cycles);
                 for i in 0..blocks.len() {
                     let a = self.store_block(issue_start, blocks[i], controller);
                     accepted = accepted.max(a);
@@ -466,7 +479,7 @@ impl GpuSystem {
                     let lanes = addrs.len() as u64;
                     self.sms[sm].issue_next_free = issue_start + lanes.max(1) * cycle;
                     self.stats.pim_lane_ops += lanes;
-                    let mut done = issue_start + self.cfg.cycles_ps(self.cfg.store_issue_cycles);
+                    let mut done = issue_start + self.cycles(self.cfg.store_issue_cycles);
                     let wait_for_data = op.returns_data();
                     // Each active lane is one PIM instruction, tagged
                     // with the issuing SM for hot-spot attribution.
@@ -493,10 +506,8 @@ impl GpuSystem {
                     let txs = blocks.len().max(1) as u64;
                     self.sms[sm].issue_next_free = issue_start + txs * cycle;
                     let wait_for_data = op.returns_data();
-                    let mut done = issue_start
-                        + self
-                            .cfg
-                            .cycles_ps(self.cfg.l1_hit_cycles + self.cfg.l2_hit_cycles);
+                    let mut done =
+                        issue_start + self.cycles(self.cfg.l1_hit_cycles + self.cfg.l2_hit_cycles);
                     for i in 0..blocks.len() {
                         let (accepted, data) =
                             self.host_atomic_block(issue_start, blocks[i], controller);
@@ -509,7 +520,9 @@ impl GpuSystem {
         };
 
         if warp.pc == warp.trace.ops.len() {
-            // Warp retired.
+            // Warp retired: it leaves the heap before `fill_sms` can hand
+            // its slot to a new warp.
+            self.heap.pop();
             let block_slot = warp.block_slot;
             self.sms[sm].resident_warps -= 1;
             self.free_warps.push(slot);
@@ -528,7 +541,9 @@ impl GpuSystem {
             }
         } else {
             self.warps[slot] = Some(warp);
-            self.heap.push(Reverse((next_ready, slot)));
+            // One sift instead of a pop and a push.
+            *self.heap.peek_mut().expect("stepped warp left the heap") =
+                Reverse((next_ready, slot));
         }
     }
 
@@ -542,13 +557,13 @@ impl GpuSystem {
         controller: &mut dyn OffloadController,
     ) -> Ps {
         if self.l1[sm].access(addr, false).is_hit() {
-            return t + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+            return t + self.cycles(self.cfg.l1_hit_cycles);
         }
-        let t_l2 = t + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+        let t_l2 = t + self.cycles(self.cfg.l1_hit_cycles);
         match self.l2.access(addr, false) {
-            CacheOutcome::Hit => t_l2 + self.cfg.cycles_ps(self.cfg.l2_hit_cycles),
+            CacheOutcome::Hit => t_l2 + self.cycles(self.cfg.l2_hit_cycles),
             CacheOutcome::Miss { writeback } => {
-                let t_mem = t_l2 + self.cfg.cycles_ps(self.cfg.l2_hit_cycles);
+                let t_mem = t_l2 + self.cycles(self.cfg.l2_hit_cycles);
                 if let Some(wb) = writeback {
                     let c = self.hmc.submit(t_mem, &Request::write(wb));
                     self.note_completion(&c, controller);
@@ -562,7 +577,7 @@ impl GpuSystem {
 
     /// Store one block (write-allocate at L2); returns acceptance time.
     fn store_block(&mut self, t: Ps, addr: u64, controller: &mut dyn OffloadController) -> Ps {
-        let t_l2 = t + self.cfg.cycles_ps(self.cfg.l1_hit_cycles);
+        let t_l2 = t + self.cycles(self.cfg.l1_hit_cycles);
         match self.l2.access(addr, true) {
             CacheOutcome::Hit => t_l2,
             CacheOutcome::Miss { writeback } => {
@@ -587,9 +602,7 @@ impl GpuSystem {
         addr: u64,
         controller: &mut dyn OffloadController,
     ) -> (Ps, Ps) {
-        let t_l2 = t + self
-            .cfg
-            .cycles_ps(self.cfg.l1_hit_cycles + self.cfg.l2_hit_cycles);
+        let t_l2 = t + self.cycles(self.cfg.l1_hit_cycles + self.cfg.l2_hit_cycles);
         match self.l2.access(addr, true) {
             CacheOutcome::Hit => (t_l2, t_l2),
             CacheOutcome::Miss { writeback } => {
@@ -755,6 +768,45 @@ mod tests {
         }
         assert!(pauses > 0, "expected at least one pause");
         assert!(sys.is_finished());
+    }
+
+    #[test]
+    fn many_small_horizons_match_one_run_to_completion() {
+        /// Grants PIM bodies to odd blocks, so host and PIM atomics mix.
+        struct OddBlocks;
+        impl OffloadController for OddBlocks {
+            fn on_block_launch(&mut self, b: usize, _t: Ps) -> bool {
+                !b.is_multiple_of(2)
+            }
+        }
+        // Everything the run leaves behind, bit for bit.
+        let fingerprint = |sys: &GpuSystem| {
+            format!(
+                "{:?} {:?} {:?} {:?} {}",
+                sys.stats(),
+                sys.hmc().totals(),
+                sys.hmc().service_time_hist(),
+                sys.hmc().queue_wait_hist(),
+                sys.l2_hit_rate().to_bits(),
+            )
+        };
+        let kernel = || SyntheticKernel::new(2, 12, 4, 5, 3);
+
+        let mut whole = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
+        let out = whole.run_to_completion(&mut kernel(), &mut OddBlocks);
+        assert_eq!(out, RunOutcome::Finished);
+
+        let mut paused = GpuSystem::new(GpuConfig::tiny(), Hmc::hmc20());
+        let (mut k, mut ctrl) = (kernel(), OddBlocks);
+        paused.start(&mut k, &mut ctrl, 0);
+        let (mut t, mut pauses) = (0, 0u64);
+        while paused.run_until(&mut k, &mut ctrl, t) == RunOutcome::Paused {
+            pauses += 1;
+            t += 997; // under two core cycles: most horizons cut a warp's wait
+        }
+        assert!(paused.is_finished());
+        assert!(pauses > 1_000, "only {pauses} pauses");
+        assert_eq!(fingerprint(&paused), fingerprint(&whole));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::packet::{Request, ResponseTail};
 use crate::stats::{PimAttribution, StatsTotals, StatsWindow};
 use crate::thermal_state::{TempPhase, ThermalStatus};
 use crate::timing::DramTiming;
-use crate::vault::{Vault, VaultAccess};
+use crate::vault::{Vault, VaultAccess, VaultCosts};
 use crate::Ps;
 
 /// Static configuration of a cube (Table IV for HMC 2.0).
@@ -122,12 +122,13 @@ pub struct Hmc {
     thermal: ThermalStatus,
     window: StatsWindow,
     totals: StatsTotals,
-    /// Effective timing under the current phase (recomputed on thermal
-    /// updates).
-    derated_timing: DramTiming,
-    refresh_permille: u64,
+    /// Vault cost table of the current phase (derated timing, refresh
+    /// and frequency stretch folded in), recomputed on thermal updates.
+    vault_costs: VaultCosts,
     /// Frequency stretch of the vault-internal domain (num, den).
     freq_stretch: (u64, u64),
+    /// `log2(vaults)`: the block-address shift past the vault bits.
+    vault_bits: u32,
     /// Rare thermal/protocol events since the last drain (warning
     /// raised, phase moves, derates, shutdown) — the co-simulator drains
     /// these each epoch into its telemetry sink.
@@ -149,11 +150,21 @@ pub struct Hmc {
 
 impl Hmc {
     /// Builds a cube from a configuration.
+    ///
+    /// # Panics
+    /// Panics unless the vault, bank-per-vault and link counts are
+    /// powers of two: addresses map onto them by shift and mask.
     pub fn new(cfg: HmcConfig) -> Self {
+        assert!(
+            cfg.vaults.is_power_of_two()
+                && cfg.banks_per_vault.is_power_of_two()
+                && cfg.links.is_power_of_two(),
+            "vault, bank and link counts must be powers of two"
+        );
         let links = (0..cfg.links)
             .map(|_| Link::with_raw_bandwidth(cfg.link_raw_bytes_per_s_per_dir))
             .collect();
-        let vaults = (0..cfg.vaults)
+        let vaults: Vec<Vault> = (0..cfg.vaults)
             .map(|_| {
                 Vault::new(
                     cfg.banks_per_vault,
@@ -164,7 +175,10 @@ impl Hmc {
             })
             .collect();
         let window = StatsWindow::new(cfg.vaults, 0);
-        let derated_timing = cfg.timing;
+        // Nominal placeholder: `recompute_derating` below sets the table
+        // of the starting phase.
+        let vault_costs = vaults[0].costs(&cfg.timing, 0, (1, 1));
+        let vault_bits = cfg.vaults.trailing_zeros();
         let pim_attr = PimAttribution::new(cfg.vaults);
         let vault_pim_totals = vec![0; cfg.vaults];
         let mut hmc = Self {
@@ -174,9 +188,9 @@ impl Hmc {
             thermal: ThermalStatus::default(),
             window,
             totals: StatsTotals::default(),
-            derated_timing,
-            refresh_permille: 0,
+            vault_costs,
             freq_stretch: (1, 1),
+            vault_bits,
             events: Vec::new(),
             warnings_raised: 0,
             active_warning_id: None,
@@ -329,28 +343,31 @@ impl Hmc {
         self.active_warning_id
     }
 
+    /// Derives the phase's vault cost table. Every vault is built from
+    /// the same configuration, so one table serves them all.
     fn recompute_derating(&mut self) {
         let phase = self.thermal.phase();
         let (num, den) = phase.timing_stretch();
-        self.derated_timing = self.cfg.timing.scaled_by(num, den);
-        self.refresh_permille = (phase.refresh_overhead() * 1000.0).round() as u64;
+        let derated_timing = self.cfg.timing.scaled_by(num, den);
+        let refresh_permille = (phase.refresh_overhead() * 1000.0).round() as u64;
         self.freq_stretch = (num, den);
+        self.vault_costs = self.vaults[0].costs(&derated_timing, refresh_permille, (num, den));
     }
 
     /// Which vault an address maps to (64-byte interleave across vaults).
     pub fn vault_of(&self, addr: u64) -> usize {
-        ((addr >> 6) as usize) % self.cfg.vaults
+        ((addr >> 6) as usize) & (self.cfg.vaults - 1)
     }
 
     /// Which bank within the vault an address maps to.
     pub fn bank_of(&self, addr: u64) -> usize {
-        ((addr >> 6) as usize / self.cfg.vaults) % self.cfg.banks_per_vault
+        ((addr >> 6) as usize >> self.vault_bits) & (self.cfg.banks_per_vault - 1)
     }
 
     fn link_of(&self, addr: u64) -> usize {
         // Address-hash routing: deterministic and balanced.
         let x = (addr >> 6) ^ (addr >> 14) ^ (addr >> 23);
-        (x as usize) % self.cfg.links
+        (x as usize) & (self.cfg.links - 1)
     }
 
     /// Submits a request at time `now`; returns its completion.
@@ -383,12 +400,12 @@ impl Hmc {
             };
         }
         let addr = req.addr();
-        let (access, is_pim) = match req {
-            Request::Read { .. } => (VaultAccess::Read, false),
-            Request::Write { .. } => (VaultAccess::Write, false),
+        let access = match req {
+            Request::Read { .. } => VaultAccess::Read,
+            Request::Write { .. } => VaultAccess::Write,
             Request::Pim { .. } => {
                 assert!(self.cfg.pim_capable, "PIM request on a non-PIM cube");
-                (VaultAccess::PimRmw, true)
+                VaultAccess::PimRmw
             }
         };
         let cost = req.flit_cost();
@@ -401,15 +418,8 @@ impl Hmc {
         let arrive_vault = req_done + self.cfg.link_propagation + self.cfg.xbar_latency;
 
         // Vault + bank.
-        let vc = self.vaults[vault].service(
-            arrive_vault,
-            bank,
-            addr,
-            access,
-            &self.derated_timing,
-            self.refresh_permille,
-            self.freq_stretch,
-        );
+        let vc =
+            self.vaults[vault].service_with(arrive_vault, bank, addr, access, &self.vault_costs);
 
         // Response direction.
         let resp_ready = vc.response_ready + self.cfg.xbar_latency;
@@ -431,7 +441,6 @@ impl Hmc {
                 self.pim_attr.record(src_sm, vault);
             }
         }
-        let _ = is_pim;
 
         // Always-on latency accounting: two constant-time histogram
         // inserts, no allocation.
@@ -440,7 +449,7 @@ impl Hmc {
 
         let tail = ResponseTail {
             errstat: self.thermal.errstat(),
-            atomic_flag: is_pim,
+            atomic_flag: access == VaultAccess::PimRmw,
         };
         let thermal_warning = tail.thermal_warning();
         Completion {
@@ -856,6 +865,76 @@ mod more_tests {
         assert_eq!(w.vault_pim_ops.iter().sum::<u64>(), w.pim_ops);
         assert_eq!(w.vault_pim_ops, hmc.vault_pim_totals().to_vec());
         assert!(w.vault_flits.iter().sum::<u64>() == w.flits);
+    }
+
+    #[test]
+    fn phase_cost_table_matches_a_fresh_derivation_and_the_per_call_path() {
+        use crate::reference::ReferenceVault;
+        use crate::vault::VaultTiming;
+        let mut hmc = Hmc::hmc20();
+        for (temp, phase) in [
+            (50.0, TempPhase::Normal),
+            (90.0, TempPhase::Extended),
+            (100.0, TempPhase::Critical),
+            (110.0, TempPhase::Shutdown),
+            (60.0, TempPhase::Normal),
+        ] {
+            hmc.set_peak_dram_temp_at(temp, 1_000);
+            assert_eq!(hmc.phase(), phase);
+            let (num, den) = phase.timing_stretch();
+            let timing = hmc.cfg.timing.scaled_by(num, den);
+            let permille = (phase.refresh_overhead() * 1000.0).round() as u64;
+            let fresh = hmc.vaults[0].costs(&timing, permille, (num, den));
+            assert_eq!(hmc.vault_costs, fresh, "{phase:?}");
+
+            // The cached-table core, the per-call path and the
+            // independent reference agree on a mixed stream.
+            let mut cached = hmc.vaults[0].clone();
+            let mut per_call = cached.clone();
+            let mut reference = ReferenceVault::new(
+                hmc.cfg.banks_per_vault,
+                hmc.cfg.vault_ctrl_occupancy,
+                hmc.cfg.fu_latency,
+                hmc.cfg.vault_bus_bytes_per_s,
+            );
+            for i in 0..3_000u64 {
+                let access =
+                    [VaultAccess::Read, VaultAccess::Write, VaultAccess::PimRmw][(i % 3) as usize];
+                let (arrive, bank) = (i * 700, (i * 7 % 16) as usize);
+                // Two rows per bank, so both row hits and misses occur.
+                let addr = (i % 5 / 4) * ROW_BYTES + (i % 4) * 64;
+                let a = cached.service_with(arrive, bank, addr, access, &hmc.vault_costs);
+                let b = per_call.service(arrive, bank, addr, access, &timing, permille, (num, den));
+                let c = VaultTiming::service(
+                    &mut reference,
+                    arrive,
+                    bank,
+                    addr,
+                    access,
+                    &timing,
+                    permille,
+                    (num, den),
+                );
+                for other in [b, c] {
+                    assert_eq!(
+                        (a.response_ready, a.queue_delay, a.row_hit),
+                        (other.response_ready, other.queue_delay, other.row_hit),
+                        "{phase:?}, access {i}"
+                    );
+                }
+            }
+            assert!(cached.row_hits() > 0 && cached.row_misses() > 0);
+            assert_eq!(cached.row_hits(), reference.row_hits());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn non_power_of_two_geometry_is_rejected() {
+        let _ = Hmc::new(HmcConfig {
+            vaults: 24,
+            ..HmcConfig::hmc20()
+        });
     }
 
     #[test]

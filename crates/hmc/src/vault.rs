@@ -11,15 +11,43 @@ use crate::bank::Bank;
 use crate::timing::DramTiming;
 use crate::Ps;
 
-/// What a vault must do for one transaction.
+/// What a vault must do for one transaction. The discriminant indexes
+/// the per-access rows of the vault cost table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VaultAccess {
     /// 64-byte read.
-    Read,
+    Read = 0,
     /// 64-byte write.
-    Write,
+    Write = 1,
     /// PIM atomic read-modify-write (bank locked throughout).
-    PimRmw,
+    PimRmw = 2,
+}
+
+/// Everything about a vault access that depends only on the operating
+/// point (derated timing, refresh overhead, frequency stretch), not on
+/// the vault's state: derived once per thermal phase by
+/// `Vault::costs` and read per request by `Vault::service_with`.
+/// `[_; 3]` arrays are indexed by the `VaultAccess` discriminant,
+/// `[_; 2]` arrays by the row outcome (`[miss, hit]`). All values are
+/// ps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct VaultCosts {
+    /// Controller occupancy per transaction (frequency-stretched).
+    ctrl_occ: Ps,
+    /// Bank occupancy on a row hit (refresh-stretched).
+    hit_occ: [Ps; 3],
+    /// Bank occupancy on a row miss (refresh-stretched).
+    miss_occ: [Ps; 3],
+    /// Bank start to response payload, per access and `[miss, hit]`.
+    resp_latency: [[Ps; 2]; 3],
+    /// Bank start to the PIM modify stage, `[miss, hit]`.
+    fu_ready: [Ps; 2],
+    /// FU occupancy per PIM operation (frequency-stretched).
+    fu_occ: Ps,
+    /// FU start to response payload.
+    fu_resp: Ps,
+    /// TSV data-bus occupancy (frequency-stretched).
+    bus_occ: [Ps; 3],
 }
 
 /// Timing outcome of a vault access.
@@ -134,12 +162,58 @@ impl Vault {
         }
     }
 
+    /// The cost table of this vault under one operating point: the
+    /// (possibly derated) `timing`, the refresh overhead in per-mille
+    /// and the phase frequency stretch `(num, den)` — see
+    /// [`Self::service`].
+    pub(crate) fn costs(
+        &self,
+        timing: &DramTiming,
+        refresh_permille: u64,
+        freq_stretch: (u64, u64),
+    ) -> VaultCosts {
+        let (fnum, fden) = freq_stretch;
+        let t = timing;
+        let fu = self.fu_latency;
+        let stretch = |v: Ps| v * (1000 + refresh_permille) / 1000;
+        // Column-cycle occupancy for row hits (read + write column ops).
+        let col = 2 * t.t_burst;
+        let rw_hit = stretch(col);
+        let rw_miss = stretch(t.t_rc().max(t.read_latency()));
+        // TSV data-bus occupancy: 64-byte blocks for regular accesses;
+        // a PIM read-modify-write moves two 32-byte DRAM granules plus
+        // the command/row-activation slot (16-byte equivalent).
+        let bus = |bytes: f64| (bytes * self.bus_ps_per_byte) as Ps * fnum / fden;
+        VaultCosts {
+            ctrl_occ: self.ctrl_occupancy * fnum / fden,
+            hit_occ: [rw_hit, rw_hit, stretch(fu + col)],
+            miss_occ: [
+                rw_miss,
+                rw_miss,
+                stretch(t.t_rcd + t.t_cl + fu + t.t_burst + t.t_rp),
+            ],
+            resp_latency: [
+                [t.read_latency(), t.t_cl + t.t_burst],
+                [t.t_rcd + t.t_burst, t.t_burst],
+                [t.t_rcd + t.t_cl + fu + t.t_burst, t.t_cl + fu + t.t_burst],
+            ],
+            fu_ready: [t.t_rcd + t.t_cl, t.t_cl],
+            fu_occ: fu * fnum / fden,
+            fu_resp: fu + t.t_burst,
+            bus_occ: [bus(64.0), bus(64.0), bus(80.0)],
+        }
+    }
+
     /// Services one access to `addr` arriving at `arrive` on `bank`,
     /// using the (possibly derated) `timing`. `refresh_permille` is the
     /// per-mille bank-time overhead of refresh (e.g. 33 = 3.3 %);
     /// `freq_stretch` is the phase frequency derating as `(num, den)` —
     /// it slows the whole vault-internal domain (banks, TSV bus, FU,
     /// controller), which is what makes overheated naïve offloading pay.
+    ///
+    /// Derives the cost table and runs `Self::service_with`; the cube,
+    /// which serves many accesses at one operating point, derives the
+    /// table once per phase with `Self::costs` instead.
     #[allow(clippy::too_many_arguments)]
     pub fn service(
         &mut self,
@@ -151,30 +225,30 @@ impl Vault {
         refresh_permille: u64,
         freq_stretch: (u64, u64),
     ) -> VaultCompletion {
+        let costs = self.costs(timing, refresh_permille, freq_stretch);
+        self.service_with(arrive, bank, addr, access, &costs)
+    }
+
+    /// Services one access at the operating point `costs` describes
+    /// (derived by `Self::costs` on this vault or an identically
+    /// configured one).
+    pub(crate) fn service_with(
+        &mut self,
+        arrive: Ps,
+        bank: usize,
+        addr: u64,
+        access: VaultAccess,
+        costs: &VaultCosts,
+    ) -> VaultCompletion {
         assert!(bank < self.banks.len(), "bank index out of range");
-        let (fnum, fden) = freq_stretch;
+        let a = access as usize;
         // Controller occupancy (internal domain: derated).
         let ctrl_start = self.ctrl_next_free.max(arrive);
-        self.ctrl_next_free = ctrl_start + self.ctrl_occupancy * fnum / fden;
+        self.ctrl_next_free = ctrl_start + costs.ctrl_occ;
         let ready = self.ctrl_next_free;
 
-        let stretch = |v: Ps| v * (1000 + refresh_permille) / 1000;
-        // Column-cycle occupancy for row hits (read + write column ops).
-        let col = 2 * timing.t_burst;
-        let (hit_occ, miss_occ) = match access {
-            VaultAccess::Read | VaultAccess::Write => (
-                stretch(col),
-                stretch(timing.t_rc().max(timing.read_latency())),
-            ),
-            VaultAccess::PimRmw => (
-                stretch(self.fu_latency + col),
-                stretch(
-                    timing.t_rcd + timing.t_cl + self.fu_latency + timing.t_burst + timing.t_rp,
-                ),
-            ),
-        };
-
-        let (bank_start, row_hit) = self.banks[bank].reserve(ready, addr, hit_occ, miss_occ);
+        let (bank_start, row_hit) =
+            self.banks[bank].reserve(ready, addr, costs.hit_occ[a], costs.miss_occ[a]);
         if row_hit {
             self.row_hits += 1;
         } else {
@@ -182,43 +256,19 @@ impl Vault {
         }
         let queue_delay = bank_start - arrive.min(bank_start);
 
-        let resp_latency = match (access, row_hit) {
-            (VaultAccess::Read, true) => timing.t_cl + timing.t_burst,
-            (VaultAccess::Read, false) => timing.read_latency(),
-            (VaultAccess::Write, true) => timing.t_burst,
-            (VaultAccess::Write, false) => timing.t_rcd + timing.t_burst,
-            (VaultAccess::PimRmw, true) => timing.t_cl + self.fu_latency + timing.t_burst,
-            (VaultAccess::PimRmw, false) => {
-                timing.t_rcd + timing.t_cl + self.fu_latency + timing.t_burst
-            }
-        };
-
-        let mut response_ready = bank_start + resp_latency;
+        let hit = usize::from(row_hit);
+        let mut response_ready = bank_start + costs.resp_latency[a][hit];
         if access == VaultAccess::PimRmw {
             // The FU is shared across the vault's banks: the modify stage
             // serializes there too.
-            let fu_ready = bank_start
-                + if row_hit {
-                    timing.t_cl
-                } else {
-                    timing.t_rcd + timing.t_cl
-                };
-            let fu_start = self.fu_next_free.max(fu_ready);
-            self.fu_next_free = fu_start + self.fu_latency * fnum / fden;
-            response_ready = response_ready.max(fu_start + self.fu_latency + timing.t_burst);
+            let fu_start = self.fu_next_free.max(bank_start + costs.fu_ready[hit]);
+            self.fu_next_free = fu_start + costs.fu_occ;
+            response_ready = response_ready.max(fu_start + costs.fu_resp);
         }
 
-        // TSV data-bus occupancy: 64-byte blocks for regular accesses;
-        // a PIM read-modify-write moves two 32-byte DRAM granules plus
-        // the command/row-activation slot (16-byte equivalent).
-        let bus_bytes = match access {
-            VaultAccess::Read | VaultAccess::Write => 64.0,
-            VaultAccess::PimRmw => 80.0,
-        };
-        let bus_occ = (bus_bytes * self.bus_ps_per_byte) as Ps * fnum / fden;
         let bus_start = self.bus_next_free.max(bank_start);
-        self.bus_next_free = bus_start + bus_occ;
-        response_ready = response_ready.max(bus_start + bus_occ);
+        self.bus_next_free = bus_start + costs.bus_occ[a];
+        response_ready = response_ready.max(self.bus_next_free);
 
         VaultCompletion {
             response_ready,
